@@ -1,13 +1,22 @@
-//! Blocked, auto-vectorisation-friendly f32 kernels shared by the serving
-//! scan (`omega-serve`), the embedding top-k (`omega-embed`) and the SpMM
-//! inner loop (`omega-spmm` / `omega-graph`).
+//! Blocked f32 kernels shared by the serving scan (`omega-serve`), the
+//! embedding top-k (`omega-embed`) and the SpMM inner loop (`omega-spmm` /
+//! `omega-graph`).
 //!
 //! Every kernel uses a **fixed** lane count and a **fixed** reduction order,
 //! so results are deterministic: the same inputs produce the same bits on
 //! every call, on every thread, at every thread count. The multi-lane
 //! accumulators expose independent dependency chains that LLVM turns into
-//! SIMD adds/FMAs without `-ffast-math`-style reassociation licenses —
-//! the reassociation is done *here*, once, explicitly.
+//! SIMD adds without `-ffast-math`-style reassociation licenses — the
+//! reassociation is done *here*, once, explicitly.
+//!
+//! [`dot_scores_into`], the inner loop of every top-k scan, additionally
+//! has an explicit x86-64 AVX2 path chosen at runtime. It scores eight rows
+//! at a time with one eight-lane accumulator per row (`mul` then `add`,
+//! never FMA, which rounds once and would change bits) and reduces each
+//! accumulator through an `hadd` tree that pairs lanes exactly as
+//! [`dot`]'s adder tree does. The portable loop stays as the fallback and
+//! as the oracle the AVX2 path is tested against bit for bit
+//! ([`dot_scores_into_scalar`]).
 //!
 //! The `*_into` variants write into a caller-owned scratch buffer so a
 //! blocked scan over many row blocks performs zero allocations after the
@@ -98,15 +107,119 @@ pub fn sparse_dot(cols: &[u32], vals: &[f32], dense: &[f32]) -> f32 {
 
 /// Dot-product scores of `query` against every `d`-wide row of a contiguous
 /// row-major block, written into `out` (cleared first). The scratch-reusing
-/// inner loop of the blocked top-k scans.
+/// inner loop of the blocked top-k scans. Bit-identical to calling [`dot`]
+/// per row, whichever path the host dispatches to.
 #[inline]
 pub fn dot_scores_into(query: &[f32], rows: &[f32], d: usize, out: &mut Vec<f32>) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: the host supports AVX2 (checked just above).
+            unsafe { avx2::dot_scores_into(query, rows, d, out) };
+            return;
+        }
+    }
+    dot_scores_into_scalar(query, rows, d, out);
+}
+
+/// The portable [`dot_scores_into`]: [`dot`] per row. The fallback on
+/// hosts without AVX2, and the oracle the AVX2 path must match bit for bit.
+#[doc(hidden)]
+#[inline]
+pub fn dot_scores_into_scalar(query: &[f32], rows: &[f32], d: usize, out: &mut Vec<f32>) {
     debug_assert!(d > 0 && rows.len().is_multiple_of(d));
     debug_assert_eq!(query.len(), d);
     out.clear();
     out.reserve(rows.len() / d);
     for row in rows.chunks_exact(d) {
         out.push(dot(query, row));
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+mod avx2 {
+    use super::{dot, DOT_LANES};
+    use std::arch::x86_64::*;
+
+    /// Rows scored per step: one accumulator register per row.
+    const ROWS: usize = 8;
+
+    /// `dot(query, row)` for every row of `rows`, written into `out`
+    /// (cleared first).
+    ///
+    /// Per row this performs the very operations [`dot`] performs, in the
+    /// same order: lane `l` accumulates `query[8c + l] * row[8c + l]`
+    /// (rounded product, then rounded sum) over the chunks `c`; the lanes
+    /// reduce as `((l0+l1)+(l2+l3))+((l4+l5)+(l6+l7))`; the `d % 8` tail is
+    /// summed sequentially from `+0.0` and added last. Only the grouping of
+    /// rows into registers differs, which no result bit depends on.
+    ///
+    /// # Safety
+    /// The host must support AVX2.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn dot_scores_into(
+        query: &[f32],
+        rows: &[f32],
+        d: usize,
+        out: &mut Vec<f32>,
+    ) {
+        // The unchecked loads below rely on these two bounds.
+        assert!(d > 0, "zero-width rows");
+        assert_eq!(query.len(), d, "query dimension mismatch");
+        debug_assert!(rows.len().is_multiple_of(d));
+        out.clear();
+        out.reserve(rows.len() / d);
+        let main = d - d % DOT_LANES;
+        let block = ROWS * d;
+        let full = rows.len() / block * block;
+        let q = query.as_ptr();
+        for group in rows[..full].chunks_exact(block) {
+            let p = group.as_ptr();
+            let mut acc = [_mm256_setzero_ps(); ROWS];
+            let mut c = 0;
+            while c < main {
+                // SAFETY: `c + 8 <= main <= d`, so both loads stay inside
+                // `query` (length `d`) and inside row `r` of `group`
+                // (`group[r * d..(r + 1) * d]`, `r < ROWS`).
+                let qv = _mm256_loadu_ps(q.add(c));
+                for (r, a) in acc.iter_mut().enumerate() {
+                    let rv = _mm256_loadu_ps(p.add(r * d + c));
+                    *a = _mm256_add_ps(*a, _mm256_mul_ps(qv, rv));
+                }
+                c += DOT_LANES;
+            }
+            // Adder tree, eight rows at once. Within each 128-bit half,
+            // `hadd(x, y)` yields [x0+x1, x2+x3, y0+y1, y2+y3]; two rounds
+            // leave ((l0+l1)+(l2+l3)) of rows 0-3 in the low half and
+            // ((l4+l5)+(l6+l7)) in the high half (likewise rows 4-7).
+            let h01 = _mm256_hadd_ps(acc[0], acc[1]);
+            let h23 = _mm256_hadd_ps(acc[2], acc[3]);
+            let h45 = _mm256_hadd_ps(acc[4], acc[5]);
+            let h67 = _mm256_hadd_ps(acc[6], acc[7]);
+            let g0 = _mm256_hadd_ps(h01, h23);
+            let g1 = _mm256_hadd_ps(h45, h67);
+            let lo = _mm256_permute2f128_ps::<0x20>(g0, g1);
+            let hi = _mm256_permute2f128_ps::<0x31>(g0, g1);
+            let sums = _mm256_add_ps(lo, hi);
+            // Sequential tails, always added (even `+0.0` turns a `-0.0`
+            // sum positive, exactly as in `dot`).
+            let mut tails = [0f32; ROWS];
+            for (r, t) in tails.iter_mut().enumerate() {
+                let row = &group[r * d + main..(r + 1) * d];
+                for (&x, &y) in query[main..].iter().zip(row) {
+                    *t += x * y;
+                }
+            }
+            let mut scores = [0f32; ROWS];
+            _mm256_storeu_ps(
+                scores.as_mut_ptr(),
+                _mm256_add_ps(sums, _mm256_loadu_ps(tails.as_ptr())),
+            );
+            out.extend_from_slice(&scores);
+        }
+        for row in rows[full..].chunks_exact(d) {
+            out.push(dot(query, row));
+        }
     }
 }
 
@@ -225,6 +338,92 @@ mod tests {
         // Scratch reuse: a second, smaller block leaves no stale entries.
         dot_scores_into(&query, &rows[..2 * d], d, &mut dots);
         assert_eq!(dots.len(), 2);
+    }
+
+    /// Equal bits, except that any NaN equals any NaN: IEEE 754 leaves the
+    /// payload of an operation on NaN operands unspecified, and LLVM may
+    /// swap the operands of a commutative add or mul on either path.
+    fn same_bits(a: f32, b: f32) -> bool {
+        a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+    }
+
+    /// Deterministic values that mix ordinary magnitudes with ±0.0, ±inf,
+    /// NaN and subnormals (`special_every` = 0 disables the specials).
+    fn mixed(n: usize, seed: u64, special_every: u64) -> Vec<f32> {
+        const SPECIALS: [f32; 8] = [
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            f32::MIN_POSITIVE / 8.0,
+            -f32::MIN_POSITIVE / 3.0,
+            f32::from_bits(1),
+        ];
+        let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        (0..n)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                if special_every > 0 && x.is_multiple_of(special_every) {
+                    SPECIALS[(x >> 32) as usize % SPECIALS.len()]
+                } else {
+                    // Wide exponent range so rounding actually happens.
+                    let m = ((x >> 40) as f32 / (1u64 << 24) as f32) - 0.5;
+                    m * f32::powi(2.0, ((x >> 8) % 24) as i32 - 12)
+                }
+            })
+            .collect()
+    }
+
+    /// The dispatched kernel (AVX2 where the host has it) is bit-identical
+    /// to the portable oracle for every width class — below one lane
+    /// block, exact multiples, ragged tails — and for row counts that
+    /// leave a partial group of eight.
+    #[test]
+    fn dispatched_scores_match_scalar_oracle_bitwise() {
+        let dims: Vec<usize> = (1..=17).chain([31, 32, 33, 64, 100]).collect();
+        let mut fast = Vec::new();
+        let mut oracle = Vec::new();
+        for &d in &dims {
+            for n in [0usize, 1, 7, 9, 15, 23, 69] {
+                for (seed, special_every) in [(1u64, 0u64), (2, 5), (3, 2)] {
+                    let query = mixed(d, seed * 31 + d as u64, special_every);
+                    let rows = mixed(n * d, seed * 77 + n as u64, special_every);
+                    dot_scores_into(&query, &rows, d, &mut fast);
+                    dot_scores_into_scalar(&query, &rows, d, &mut oracle);
+                    assert_eq!(fast.len(), n);
+                    assert_eq!(oracle.len(), n);
+                    for (i, (&f, &o)) in fast.iter().zip(&oracle).enumerate() {
+                        assert!(
+                            same_bits(f, o),
+                            "d={d} n={n} seed={seed} row {i}: {f:?} ({:#x}) vs oracle {o:?} ({:#x})",
+                            f.to_bits(),
+                            o.to_bits()
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// Signed zeros follow `dot`'s rules on both paths: products of `-0.0`
+    /// land on `+0.0` accumulators, so the score is `+0.0`.
+    #[test]
+    fn dispatched_scores_keep_signed_zero_rules() {
+        for d in [8usize, 16, 5] {
+            let query = vec![-0.0f32; d];
+            let rows = vec![1.0f32; 9 * d];
+            let mut fast = Vec::new();
+            let mut oracle = Vec::new();
+            dot_scores_into(&query, &rows, d, &mut fast);
+            dot_scores_into_scalar(&query, &rows, d, &mut oracle);
+            for (f, o) in fast.iter().zip(&oracle) {
+                assert_eq!(f.to_bits(), o.to_bits());
+                assert_eq!(f.to_bits(), 0.0f32.to_bits());
+            }
+        }
     }
 
     #[test]

@@ -465,3 +465,68 @@ fn spmm_degraded_mode_recomputes_exact_result() {
     assert_eq!(faulted.degraded_chunks, again.degraded_chunks);
     assert_eq!(faulted.makespan, again.makespan);
 }
+
+/// The exact scan fans out over fixed groups of shards, each shard on its
+/// own fault stream. Under a transient PM plan, every thread count and
+/// every shard geometry — tiny shards grouped many per task, and shards
+/// larger than one task — must return the oracle's answers, ids and score
+/// bits, while the clock, traffic and stats depend on the geometry only,
+/// never on the thread count.
+#[test]
+fn exact_scan_is_identical_across_threads_and_shard_geometry() {
+    let nodes = 4_000u32;
+    let emb = embedding(nodes, 12);
+    let queries: Vec<Vec<f32>> = [0u32, 17, 999, 2_048, 3_999]
+        .iter()
+        .map(|&v| emb.vector(v).to_vec())
+        .collect();
+    let oracle: Vec<Vec<(u32, u32)>> = queries
+        .iter()
+        .map(|q| bits(emb.top_k(q, 10, Metric::Dot)))
+        .collect();
+    let warm: Vec<u32> = (0..nodes).step_by(97).collect();
+    for rows_per_shard in [7usize, 64, 1_500] {
+        let mut first: Option<String> = None;
+        for threads in [1usize, 2, 8] {
+            let sys = install_plan(
+                &system(),
+                FaultPlanSpec::new(plan_seed()).with_transient(DeviceKind::Pm, 0.3, 3_000),
+            );
+            // A cache of a few shards, so scans mix DRAM and cold reads.
+            let cfg = ServeConfig::new(4 * rows_per_shard as u64 * DIM as u64 * 4)
+                .rows_per_shard(rows_per_shard)
+                .cold(Placement::node(0, DeviceKind::Pm))
+                .threads(threads);
+            let mut srv = EmbedServer::new(&sys, &emb, cfg).unwrap();
+            let answers = omega_serve::pool::with_dispatch_policy(
+                omega_serve::pool::DispatchPolicy::always_parallel(),
+                || {
+                    srv.get_vectors(&warm);
+                    queries
+                        .iter()
+                        .map(|q| bits(srv.top_k(q, 10)))
+                        .collect::<Vec<_>>()
+                },
+            );
+            assert_eq!(
+                answers, oracle,
+                "rows_per_shard {rows_per_shard}, threads {threads}"
+            );
+            let st = srv.stats();
+            assert!(st.faults_injected > 0, "30% transients must fire");
+            let observed = format!("{} {:?} {:?}", srv.sim_now().as_nanos(), srv.traffic(), st);
+            match &first {
+                None => first = Some(observed),
+                Some(want) => assert_eq!(
+                    &observed, want,
+                    "rows_per_shard {rows_per_shard}: threads {threads} moved the clock, \
+                     traffic or stats"
+                ),
+            }
+        }
+    }
+}
+
+fn bits(v: Vec<(u32, f32)>) -> Vec<(u32, u32)> {
+    v.into_iter().map(|(id, s)| (id, s.to_bits())).collect()
+}

@@ -115,3 +115,20 @@ fn capacity_failures_are_typed_not_panics() {
     let err = Omega::new(cfg).unwrap().embed(&g).unwrap_err();
     assert!(err.is_oom());
 }
+
+/// `omega-cli serve` validates its synthetic-table size like `plane` does:
+/// `--nodes 0` exits non-zero with a one-line error, not a panic.
+#[test]
+fn cli_serve_rejects_zero_nodes() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_omega-cli"))
+        .args(["serve", "--requests", "10", "--nodes", "0", "--dim", "8"])
+        .output()
+        .expect("omega-cli runs");
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.starts_with("error: --nodes must be positive (got 0)"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
