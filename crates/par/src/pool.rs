@@ -402,6 +402,17 @@ pub fn workers_spawned() -> usize {
     lock(&pool().state).spawned
 }
 
+/// Calls dispatched to the pool workers so far in this process.
+static DISPATCHES: AtomicU64 = AtomicU64::new(0);
+
+/// Parallel calls this process has dispatched to the pool workers so far;
+/// calls that ran inline are not counted. A wall-clock observer like
+/// [`workers_spawned`]: read it around a run to tell whether that run
+/// reached the pool at all.
+pub fn dispatches() -> u64 {
+    DISPATCHES.load(Ordering::Relaxed)
+}
+
 fn worker_main() {
     let pool = pool();
     loop {
@@ -477,6 +488,7 @@ pub(crate) fn dispatch(
     body: &(dyn for<'c> Fn(usize, &mut TaskClaimer<'c>, &mut SlotMeter) + Sync),
 ) -> DispatchReport {
     debug_assert!(slots >= 2 && slots <= n, "dispatch wants 2 <= slots <= n");
+    DISPATCHES.fetch_add(1, Ordering::Relaxed);
     assert!(
         n < u32::MAX as usize,
         "task count overflows the range deques"
@@ -644,6 +656,16 @@ mod tests {
         });
         assert_eq!((a, b), (1, 2), "scratch must persist on this thread");
         with_scratch(|v: &mut Vec<u32>| v.clear());
+    }
+
+    #[test]
+    fn dispatches_count_pool_calls() {
+        // Other tests share the counter, so only growth is asserted.
+        let before = dispatches();
+        with_dispatch_policy(DispatchPolicy::always_parallel(), || {
+            crate::run(4, 64, |_: &mut (), i| i)
+        });
+        assert!(dispatches() > before, "a forced parallel call dispatches");
     }
 
     #[test]
